@@ -20,13 +20,13 @@ from .artifacts import (
     PlacementArtifact,
     PowerArtifact,
     StaArtifact,
-    StoreStats,
     ThermalArtifact,
     WhitespaceArtifact,
     netlist_digest,
     placement_digest,
 )
-from .cache import CacheStats, SolverCache, geometry_key, package_fingerprint
+from .cache import SolverCache, geometry_key, package_fingerprint
+from .keyed import StoreStats
 from .graph import STAGES, FlowGraph
 from .experiment import (
     DEFAULT_OVERHEADS,
@@ -52,7 +52,6 @@ from .recover import FsckReport, fsck_store, recover_store
 from .store import (
     PruneReport,
     ResultStore,
-    ResultStoreStats,
     StoreUsage,
     prune_store,
     result_key,
@@ -64,7 +63,6 @@ __all__ = [
     "ArtifactStore",
     "StoreStats",
     "ResultStore",
-    "ResultStoreStats",
     "StoreUsage",
     "PruneReport",
     "setup_digest",
@@ -84,7 +82,6 @@ __all__ = [
     "StaArtifact",
     "netlist_digest",
     "placement_digest",
-    "CacheStats",
     "SolverCache",
     "geometry_key",
     "package_fingerprint",

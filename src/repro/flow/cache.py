@@ -17,14 +17,12 @@ between the worker threads of a :class:`~repro.flow.runner.Campaign`.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..placement import Placement
 from ..thermal import Package, ThermalGrid, ThermalSolver, default_package
 from ..thermal.solver import grid_for_placement, resolve_thermal_method
+from .keyed import KeyedFront, KeyedStore
 
 
 def package_fingerprint(package: Package) -> Tuple:
@@ -75,40 +73,7 @@ def geometry_key(
     )
 
 
-@dataclass(frozen=True)
-class CacheStats:
-    """Cache counters at one point in time.
-
-    Attributes:
-        hits: Lookups answered from the cache.
-        misses: Lookups that had to factorise.
-        evictions: Entries dropped by the LRU bound.
-        size: Entries currently held.
-    """
-
-    hits: int
-    misses: int
-    evictions: int
-    size: int
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from the cache (0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict form for JSON metadata."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size": self.size,
-            "hit_rate": self.hit_rate,
-        }
-
-
-class SolverCache:
+class SolverCache(KeyedFront):
     """Thread-safe LRU cache of factorised :class:`ThermalSolver` objects.
 
     One instance is typically shared across a whole sweep or campaign; any
@@ -116,7 +81,9 @@ class SolverCache:
     outline (and grid resolution and package) then pay the LU factorisation
     once between them.  Geometry changes — an ERI row insertion growing the
     core, a Default relaxation re-placing at a larger outline — produce a
-    different key, so stale factorisations can never be returned.
+    different key, so stale factorisations can never be returned.  The
+    cache is a memory-only :class:`~repro.flow.keyed.KeyedStore` keyed by
+    :func:`geometry_key`.
 
     Args:
         maxsize: Maximum number of prepared solvers to retain (least
@@ -135,17 +102,9 @@ class SolverCache:
     def __init__(
         self, maxsize: Optional[int] = None, method: str = "auto", **solver_kwargs
     ) -> None:
-        if maxsize is not None and maxsize < 0:
-            raise ValueError("maxsize must be None or >= 0")
-        self.maxsize = maxsize
+        self._store = KeyedStore(maxsize)
         self.method = method
         self._solver_kwargs = dict(solver_kwargs)
-        self._lock = threading.Lock()
-        self._solvers: "OrderedDict[GeometryKey, ThermalSolver]" = OrderedDict()
-        self._building: Dict[GeometryKey, threading.Lock] = {}
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
 
     # -- lookup --------------------------------------------------------------
 
@@ -174,7 +133,7 @@ class SolverCache:
     ) -> ThermalSolver:
         """Return the prepared solver for ``grid``, building it on a miss.
 
-        Concurrent requests for the same geometry block on a per-key lock so
+        Concurrent requests for the same geometry wait on one build, so
         the solver setup runs once; requests for different geometries
         build in parallel.
 
@@ -187,42 +146,13 @@ class SolverCache:
             self.method if method is None else method, grid
         )
         key = geometry_key(grid, keep_full_field=keep_full_field, method=resolved)
-        with self._lock:
-            cached = self._solvers.get(key)
-            if cached is not None:
-                self._hits += 1
-                self._solvers.move_to_end(key)
-                return cached
-            build_lock = self._building.setdefault(key, threading.Lock())
-
-        try:
-            with build_lock:
-                with self._lock:
-                    cached = self._solvers.get(key)
-                    if cached is not None:
-                        self._hits += 1
-                        self._solvers.move_to_end(key)
-                        return cached
-                solver = ThermalSolver(
-                    grid, keep_full_field=keep_full_field, method=resolved,
-                    **self._solver_kwargs,
-                )
-                with self._lock:
-                    self._misses += 1
-                    if self.maxsize != 0:
-                        self._solvers[key] = solver
-                        self._solvers.move_to_end(key)
-                        while self.maxsize is not None and len(self._solvers) > self.maxsize:
-                            self._solvers.popitem(last=False)
-                            self._evictions += 1
-                return solver
-        finally:
-            # Always release the build slot, including when factorisation
-            # raises (e.g. a degenerate floorplan), so later requests for
-            # the same geometry neither deadlock on a stale lock nor leak
-            # one dict entry per failing key.
-            with self._lock:
-                self._building.pop(key, None)
+        return self._store.get_or_build(
+            key,
+            lambda: ThermalSolver(
+                grid, keep_full_field=keep_full_field, method=resolved,
+                **self._solver_kwargs,
+            ),
+        )
 
     def solver_for_placement(
         self,
@@ -238,48 +168,18 @@ class SolverCache:
         grid = grid_for_placement(placement, package=pkg, nx=nx, ny=ny)
         return self.solver(grid, keep_full_field=keep_full_field, method=method)
 
-    def __contains__(self, key: GeometryKey) -> bool:
-        with self._lock:
-            return key in self._solvers
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._solvers)
-
     # -- bookkeeping ---------------------------------------------------------
 
     @property
     def hits(self) -> int:
-        """Lookups answered from the cache so far.
-
-        Read under the cache lock: increments happen inside locked
-        sections, so an unlocked read racing a Campaign worker could
-        observe a torn view of the counters (hits observed without the
-        miss that preceded them).  Taking the lock makes every read a
-        consistent snapshot, which the exact-count assertions in
-        ``tests/test_solver_cache.py`` rely on.
-        """
-        with self._lock:
-            return self._hits
+        """Lookups answered from the cache so far (a locked snapshot)."""
+        return self._store.stats().hits
 
     @property
     def misses(self) -> int:
-        """Lookups that built a new factorisation so far (locked read,
-        see :attr:`hits`)."""
-        with self._lock:
-            return self._misses
-
-    def stats(self) -> CacheStats:
-        """Snapshot of the cache counters."""
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self._solvers),
-            )
+        """Lookups that built a new factorisation so far (a locked snapshot)."""
+        return self._store.stats().misses
 
     def clear(self) -> None:
         """Drop every retained factorisation (counters are kept)."""
-        with self._lock:
-            self._solvers.clear()
+        self._store.clear_memory()

@@ -21,8 +21,9 @@ bitwise-identical to monolithic ones — the golden-equivalence suite
 (``tests/test_flow_graph_equivalence.py``) asserts this.
 
 Thread safety: stage execution is single-flight per ``(stage, key)`` —
+the store's :meth:`~repro.flow.artifacts.ArtifactStore.get_or_build` makes
 concurrent :class:`~repro.flow.runner.Campaign` workers asking for the same
-artifact block on one build — and the per-stage execution/hit counters are
+artifact wait on one build — and the per-stage execution/hit counters are
 kept under one lock, so tests can assert exact counts.
 """
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from ..core import AreaManagementConfig, AreaManager, StrategySpec
 from ..engine import get_engine
@@ -92,7 +93,6 @@ class FlowGraph:
             solver_cache if solver_cache is not None else SolverCache()
         )
         self._lock = threading.Lock()
-        self._building: Dict[Tuple[str, str], threading.Lock] = {}
         self.stage_executions: Counter = Counter()
         self.stage_hits: Counter = Counter()
 
@@ -109,36 +109,25 @@ class FlowGraph:
     ):
         """Return the artifact for ``(stage, key)``, executing on a miss.
 
-        Single-flight: concurrent requests for the same key block on a
-        per-key lock so the stage body runs exactly once; requests for
-        different keys build in parallel.  When ``cacheable`` is given and
-        rejects the freshly built artifact, it is returned but *not*
-        published to the store (the thermal stage uses this to keep
-        degraded fallback solves out of the content-addressed cache).
+        One :meth:`ArtifactStore.get_or_build` call: the store runs the
+        stage body once per key however many workers ask.  When
+        ``cacheable`` is given and rejects the freshly built artifact, it
+        is returned but *not* published to the store (the thermal stage
+        uses this to keep degraded fallback solves out of the
+        content-addressed cache).
         """
-        artifact = self.store.get(stage, key)
-        if artifact is not None:
-            with self._lock:
-                self.stage_hits[stage] += 1
+        counter = self.stage_hits
+
+        def execute():
+            nonlocal counter
+            artifact = build()
+            counter = self.stage_executions
             return artifact
+
+        artifact = self.store.get_or_build(stage, key, execute, publish_if=cacheable)
         with self._lock:
-            build_lock = self._building.setdefault((stage, key), threading.Lock())
-        try:
-            with build_lock:
-                artifact = self.store.get(stage, key)
-                if artifact is not None:
-                    with self._lock:
-                        self.stage_hits[stage] += 1
-                    return artifact
-                artifact = build()
-                with self._lock:
-                    self.stage_executions[stage] += 1
-                if cacheable is None or cacheable(artifact):
-                    self.store.put(stage, key, artifact)
-                return artifact
-        finally:
-            with self._lock:
-                self._building.pop((stage, key), None)
+            counter[stage] += 1
+        return artifact
 
     def stats(self) -> Dict[str, object]:
         """Per-stage counters plus the store's, for run metadata."""

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Union
 
-from .artifacts import BlobIntegrityError, read_blob
-from .store import STALE_CLAIM_S, _ENTRY_SUFFIXES
+from .keyed import BlobIntegrityError, read_blob
+from .store import STALE_CLAIM_S, _ENTRY_SUFFIXES, _iter_store_files
 
 logger = logging.getLogger(__name__)
 
@@ -106,15 +106,6 @@ class FsckReport:
         if self.repair_errors:
             action += f", {self.repair_errors} repair error(s)"
         return f"{self.root}: {', '.join(parts)} - {action}"
-
-
-def _iter_store_files(root: Path):
-    """Every regular file under ``root``, quarantine excluded."""
-    for path in sorted(root.rglob("*")):
-        if QUARANTINE_DIR in path.parts:
-            continue
-        if path.is_file():
-            yield path
 
 
 def _writer_alive(path: Path) -> Optional[bool]:

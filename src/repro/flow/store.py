@@ -32,30 +32,23 @@ files).
 
 from __future__ import annotations
 
-import logging
 import os
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from ..faults import InjectedFault, inject
+from ..faults import inject
 from .artifacts import (
     FLOW_KEY_VERSION,
-    BlobIntegrityError,
     hash_parts,
     netlist_digest,
     package_digest,
     placement_digest,
     power_digest,
-    read_blob,
     thermal_map_digest,
-    write_blob,
 )
-
-logger = logging.getLogger(__name__)
+from .keyed import KeyedFront
 
 #: Filename suffix of result entries (artifact stores use ``.art``).
 RESULT_SUFFIX = ".res"
@@ -131,60 +124,16 @@ def result_key(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResultStoreStats:
-    """Result-store counters at one point in time.
-
-    Attributes:
-        hits: Lookups answered from the store (memory or disk).
-        misses: Lookups that found nothing usable.
-        disk_hits: Subset of ``hits`` read (and verified) from disk.
-        writes: Records published.
-        corrupt_evictions: Disk entries evicted as damaged.
-        single_flight_waits: ``compute_if_missing`` calls that waited on
-            another process's computation instead of computing.
-        memory_size: Records currently held in memory.
-        write_errors: Disk publications that failed (the record stayed in
-            memory and the campaign continued; durability only degrades).
-    """
-
-    hits: int
-    misses: int
-    disk_hits: int
-    writes: int
-    corrupt_evictions: int
-    single_flight_waits: int
-    memory_size: int
-    write_errors: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the store (0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict form for JSON metadata."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "writes": self.writes,
-            "corrupt_evictions": self.corrupt_evictions,
-            "single_flight_waits": self.single_flight_waits,
-            "memory_size": self.memory_size,
-            "write_errors": self.write_errors,
-            "hit_rate": self.hit_rate,
-        }
-
-
-class ResultStore:
+class ResultStore(KeyedFront):
     """Persistent, shareable store of evaluated campaign records.
 
     Layout: ``<root>/<key[:2]>/<key>.res`` — the two-character shard keeps
     directories small for million-record stores.  With ``root=None`` the
     store is memory-only (still single-flight across threads), which is
-    what short-lived in-process campaigns use.
+    what short-lived in-process campaigns use.  Memory LRU, verified disk
+    tier, best-effort writes and counters are the keyed-store core's
+    (:class:`~repro.flow.keyed.KeyedStore`); this class adds the
+    cross-process claim loop of :meth:`compute_if_missing`.
 
     Instances pickle by configuration (root + bound), not contents: a
     sharded worker process that receives one attaches to the same on-disk
@@ -195,24 +144,6 @@ class ResultStore:
         root: Directory of the on-disk tier, created on first write.
         maxsize: In-memory LRU bound (``None`` = unbounded).
     """
-
-    def __init__(
-        self, root: Optional[Union[str, Path]] = None, maxsize: Optional[int] = None
-    ) -> None:
-        if maxsize is not None and maxsize < 0:
-            raise ValueError("maxsize must be None or >= 0")
-        self.root = Path(root) if root is not None else None
-        self.maxsize = maxsize
-        self._lock = threading.Lock()
-        self._memory: "OrderedDict[str, object]" = OrderedDict()
-        self._inflight: Dict[str, threading.Lock] = {}
-        self._hits = 0
-        self._misses = 0
-        self._disk_hits = 0
-        self._writes = 0
-        self._corrupt_evictions = 0
-        self._single_flight_waits = 0
-        self._write_errors = 0
 
     # -- pickling (for sharded workers) --------------------------------------
 
@@ -225,34 +156,16 @@ class ResultStore:
     # -- paths ---------------------------------------------------------------
 
     def _path(self, key: str) -> Path:
-        assert self.root is not None
         return self.root / key[:2] / f"{key}{RESULT_SUFFIX}"
 
     def _claim_path(self, key: str) -> Path:
-        assert self.root is not None
         return self.root / key[:2] / f"{key}.lock"
 
     # -- lookup / publish ----------------------------------------------------
 
     def get(self, key: str):
         """The stored record for ``key``, or ``None`` on a miss."""
-        with self._lock:
-            cached = self._memory.get(key)
-            if cached is not None:
-                self._hits += 1
-                self._memory.move_to_end(key)
-                return cached
-        if self.root is not None:
-            record = self._read_disk(key)
-            if record is not None:
-                with self._lock:
-                    self._hits += 1
-                    self._disk_hits += 1
-                    self._insert_memory(key, record)
-                return record
-        with self._lock:
-            self._misses += 1
-        return None
+        return self._store.get(key)
 
     def put(self, key: str, record) -> None:
         """Publish a record (memory, and disk when configured).
@@ -263,46 +176,14 @@ class ResultStore:
         flip, injected ``store.write`` fault) is counted and logged, and
         the record stays served from memory — a later run just recomputes.
         """
-        with self._lock:
-            self._writes += 1
-            self._insert_memory(key, record)
-        if self.root is not None:
-            try:
-                inject("store.write", {"key": key})
-                write_blob(self._path(key), record)
-            except (OSError, InjectedFault) as error:
-                with self._lock:
-                    self._write_errors += 1
-                logger.warning(
-                    "result store: failed to persist %s (%r); record kept "
-                    "in memory only", key, error,
-                )
+        self._store.put(key, record)
 
-    def _insert_memory(self, key: str, record) -> None:
-        if self.maxsize == 0:
-            return
-        self._memory[key] = record
-        self._memory.move_to_end(key)
-        while self.maxsize is not None and len(self._memory) > self.maxsize:
-            self._memory.popitem(last=False)
+    def clear_memory(self) -> None:
+        """Drop the in-memory tier (disk entries and counters are kept)."""
+        self._store.clear_memory()
 
     def _read_disk(self, key: str):
-        path = self._path(key)
-        try:
-            # An injected ``store.read`` fault models a damaged entry:
-            # evicted and recomputed, exactly like an integrity failure.
-            inject("store.read", {"key": key})
-            return read_blob(path)
-        except OSError:
-            return None
-        except (BlobIntegrityError, InjectedFault):
-            with self._lock:
-                self._corrupt_evictions += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
+        return self._store.read_disk(key)
 
     # -- single-flight -------------------------------------------------------
 
@@ -315,11 +196,14 @@ class ResultStore:
     ) -> Tuple[object, bool]:
         """Return the record for ``key``, computing it at most once globally.
 
-        Single-flight spans both threads (a per-key in-process lock) and
-        processes (an ``O_CREAT | O_EXCL`` claim file next to the entry):
-        the first caller to claim computes and publishes; everyone else
-        polls until the entry appears and hits.  A claim left behind by a
-        crashed owner goes stale after :data:`STALE_CLAIM_S` and is broken.
+        Single-flight spans both threads (the core's per-key build slot)
+        and processes (an ``O_CREAT | O_EXCL`` claim file next to the
+        entry, held until the record is published): the first caller to
+        claim computes and publishes; everyone else polls until the entry
+        appears.  A claim left behind by a crashed owner goes stale after
+        :data:`STALE_CLAIM_S` and is broken.  A call counts one hit, or one
+        miss; a miss another process answered also counts one
+        ``single_flight_waits``.
 
         Args:
             key: The result key.
@@ -334,35 +218,38 @@ class ResultStore:
             ``(record, computed)`` where ``computed`` says whether *this*
             call ran ``compute``.
         """
-        record = self.get(key)
-        if record is not None:
-            return record, False
+        computed = False
+        claims: List[Path] = []
 
-        with self._lock:
-            thread_gate = self._inflight.setdefault(key, threading.Lock())
-        try:
-            with thread_gate:
-                record = self.get(key)
+        def build():
+            nonlocal computed
+            if self.root is not None:
+                record = self._claim_or_wait(key, claims, poll_s, wait_timeout_s)
                 if record is not None:
-                    return record, False
-                if self.root is None:
-                    record = compute()
-                    self.put(key, record)
-                    return record, True
-                return self._compute_cross_process(
-                    key, compute, poll_s, wait_timeout_s
-                )
-        finally:
-            with self._lock:
-                self._inflight.pop(key, None)
+                    return record
+            computed = True
+            return compute()
 
-    def _compute_cross_process(
-        self,
-        key: str,
-        compute: Callable[[], object],
-        poll_s: float,
-        wait_timeout_s: float,
-    ) -> Tuple[object, bool]:
+        try:
+            record = self._store.get_or_build(key, build, lambda _record: computed)
+        finally:
+            for claim in claims:
+                try:
+                    claim.unlink()
+                except OSError:
+                    pass
+        return record, computed
+
+    def _claim_or_wait(
+        self, key: str, claims: List[Path], poll_s: float, wait_timeout_s: float
+    ):
+        """Take ``key``'s cross-process claim, or wait out its holder.
+
+        Returns the record when another process published it first;
+        ``None`` when this process should compute — holding the claim
+        (appended to ``claims``, released by the caller after publication)
+        or, past ``wait_timeout_s``, without it.
+        """
         claim = self._claim_path(key)
         claim.parent.mkdir(parents=True, exist_ok=True)
         deadline = time.monotonic() + wait_timeout_s
@@ -375,12 +262,8 @@ class ResultStore:
                 waited = True
                 record = self._read_disk(key)
                 if record is not None:
-                    with self._lock:
-                        self._hits += 1
-                        self._disk_hits += 1
-                        self._single_flight_waits += 1
-                        self._insert_memory(key, record)
-                    return record, False
+                    self._store.count("single_flight_waits")
+                    return record
                 try:
                     age = time.time() - claim.stat().st_mtime
                 except OSError:
@@ -392,79 +275,21 @@ class ResultStore:
                         pass
                     continue
                 if time.monotonic() > deadline:
-                    break  # claim holder livelocked: compute locally
+                    return None  # claim holder livelocked: compute locally
                 time.sleep(poll_s)
                 continue
             # Claimed: we are the one computer for this key.
             os.close(fd)
-            try:
-                # Crash seam: an injected ``kind="exit"`` here simulates a
-                # kill -9 between claiming and publishing — the orphaned
-                # claim file is exactly what ``repro fsck`` must repair
-                # (an ordinary raise still unlinks it in the finally).
-                inject("store.claim", {"key": key})
-                record = self._read_disk(key)
-                if record is not None:
-                    with self._lock:
-                        self._hits += 1
-                        self._disk_hits += 1
-                        if waited:
-                            self._single_flight_waits += 1
-                        self._insert_memory(key, record)
-                    return record, False
-                record = compute()
-                self.put(key, record)
-                return record, True
-            finally:
-                try:
-                    claim.unlink()
-                except OSError:
-                    pass
-        record = compute()
-        self.put(key, record)
-        return record, True
-
-    # -- bookkeeping ---------------------------------------------------------
-
-    def stats(self) -> ResultStoreStats:
-        """Snapshot of the store counters."""
-        with self._lock:
-            return ResultStoreStats(
-                hits=self._hits,
-                misses=self._misses,
-                disk_hits=self._disk_hits,
-                writes=self._writes,
-                corrupt_evictions=self._corrupt_evictions,
-                single_flight_waits=self._single_flight_waits,
-                memory_size=len(self._memory),
-                write_errors=self._write_errors,
-            )
-
-    def clear_memory(self) -> None:
-        """Drop the in-memory tier (disk entries and counters are kept)."""
-        with self._lock:
-            self._memory.clear()
-
-    def shrink(self, max_entries: int) -> int:
-        """Evict least-recently-used entries until at most ``max_entries``.
-
-        The LRU shrink hook for the service tier's resource governor:
-        under memory pressure it trims the memory tier without touching
-        disk entries or ``maxsize`` (pass ``maxsize=0`` separately to
-        stop re-growth).  Returns the number of entries evicted.
-        """
-        if max_entries < 0:
-            raise ValueError(f"max_entries must be >= 0, got {max_entries}")
-        evicted = 0
-        with self._lock:
-            while len(self._memory) > max_entries:
-                self._memory.popitem(last=False)
-                evicted += 1
-        return evicted
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._memory)
+            claims.append(claim)
+            # Crash seam: an injected ``kind="exit"`` here simulates a
+            # kill -9 between claiming and publishing — the orphaned claim
+            # file is exactly what ``repro fsck`` must repair (an ordinary
+            # raise still unlinks it in the caller's finally).
+            inject("store.claim", {"key": key})
+            record = self._read_disk(key)
+            if record is not None and waited:
+                self._store.count("single_flight_waits")
+            return record
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +351,16 @@ def _store_group(root: Path, path: Path) -> str:
     return name
 
 
+def _iter_store_files(root: Path):
+    """Every regular file under ``root``, quarantine excluded."""
+    for path in sorted(root.rglob("*")):
+        if path.is_file() and ".quarantine" not in path.parts:
+            yield path
+
+
 def _iter_entries(root: Path):
     """Yield ``(path, stat)`` for every entry file under ``root``."""
-    for path in sorted(root.rglob("*")):
-        if not path.is_file() or ".quarantine" in path.parts:
-            continue
+    for path in _iter_store_files(root):
         if path.suffix in _ENTRY_SUFFIXES:
             try:
                 yield path, path.stat()
@@ -540,9 +370,7 @@ def _iter_entries(root: Path):
 
 def _iter_strays(root: Path):
     """Yield leftover temp/claim files (crashed writers leave these)."""
-    for path in sorted(root.rglob("*")):
-        if not path.is_file() or ".quarantine" in path.parts:
-            continue
+    for path in _iter_store_files(root):
         if path.suffix == ".lock" or ".tmp." in path.name:
             yield path
 
@@ -658,7 +486,6 @@ def prune_store(
 
 __all__ = [
     "ResultStore",
-    "ResultStoreStats",
     "setup_digest",
     "result_key",
     "scan_store",

@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro.flow import ArtifactStore, FlowGraph
-from repro.flow.artifacts import _MAGIC
+from repro.flow.keyed import _MAGIC
 
 
 def _entry_path(store: ArtifactStore, stage: str, key: str):
@@ -33,6 +33,14 @@ class TestMemoryTier:
         assert stats.disk_hits == 0
         assert len(store) == 1
         assert ("synth", "k1") in store
+
+        # One stage build, then one hit: exactly one miss per lookup.
+        flow = FlowGraph()
+        first = flow._run("synth", "k2", lambda: {"value": 2})
+        assert flow._run("synth", "k2", lambda: {"value": 3}) is first
+        stats = flow.store.stats()
+        assert (stats.hits, stats.misses, stats.writes) == (1, 1, 1)
+        assert (flow.stage_executions["synth"], flow.stage_hits["synth"]) == (1, 1)
 
     def test_same_key_different_stage_is_distinct(self):
         store = ArtifactStore()
@@ -173,6 +181,24 @@ class TestDiskCorruption:
         assert flow.store.stats().corrupt_evictions >= 1
         assert rebuilt.key == original.key
         assert (rebuilt.power_map.power_w == original.power_map.power_w).all()
+
+
+class TestBestEffortWrites:
+    def test_stage_over_unwritable_root_serves_from_memory(
+        self, tmp_path, small_placement, small_power
+    ):
+        """A failed disk write is logged and counted, not raised: the
+        stage still returns its artifact and the memory tier serves it."""
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("a file where the store root's parent should be")
+        flow = FlowGraph(store=ArtifactStore(root=blocker / "store"))
+        artifact = flow.legalize(small_placement, small_power, nx=12, ny=12)
+        assert artifact.power_map.power_w.sum() > 0
+        stats = flow.store.stats()
+        assert stats.write_errors == 1
+        assert stats.writes == 1
+        assert flow.legalize(small_placement, small_power, nx=12, ny=12) is artifact
+        assert flow.stage_executions["legalize"] == 1
 
 
 class TestConcurrency:

@@ -145,11 +145,18 @@ class TestServerOverloadPaths:
         name = served_setup.workload.name
         with instance:
             host, port = instance.address
+            # Evaluate the point once under another identity first: a cold
+            # evaluation takes about as long as the 0.2 s refill, so a cold
+            # first request would race the refill instead of arriving
+            # back-to-back with the second.
+            SweepClient(host=host, port=port, client_id="warm").sweep(
+                name, ("default",), (0.1,)
+            )
             fail_fast = SweepClient(
                 host=host, port=port, client_id="hasty",
                 retry_policy=RetryPolicy(max_attempts=1),
             )
-            fail_fast.sweep(name, ("default",), (0.1,))
+            fail_fast.sweep(name, ("default",), (0.1,))  # store hit
             with pytest.raises(ThrottledError) as info:
                 fail_fast.sweep(name, ("default",), (0.1,))
             assert info.value.retry_after_s is not None

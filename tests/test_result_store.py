@@ -108,6 +108,13 @@ class TestResultStore:
         assert (stats.hits, stats.misses, stats.writes) == (1, 1, 1)
         assert stats.hit_rate == 0.5
 
+        # One build, then one hit: exactly one miss per lookup.
+        store = ResultStore()
+        assert store.compute_if_missing("k", lambda: "built") == ("built", True)
+        assert store.compute_if_missing("k", lambda: "rebuilt") == ("built", False)
+        stats = store.stats()
+        assert (stats.hits, stats.misses, stats.writes) == (1, 1, 1)
+
     def test_disk_tier_survives_new_instance(self, tmp_path):
         first = ResultStore(root=tmp_path / "store")
         first.put("deadbeef", [1, 2, 3])

@@ -53,7 +53,7 @@ class TestSolverReuse:
         second = cache.solver_for_placement(small_placement, nx=NX, ny=NY)
         assert first is second
         stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.size) == (1, 1, 1)
+        assert (stats.hits, stats.misses, stats.memory_size) == (1, 1, 1)
         assert stats.hit_rate == pytest.approx(0.5)
 
     def test_cached_map_bitwise_identical_to_uncached(self, small_placement, small_power):
@@ -180,7 +180,7 @@ class TestBounds:
         cache.solver_for_placement(small_placement, nx=NX, ny=NY)
         cache.solver_for_placement(small_placement, nx=NX // 2, ny=NY // 2)
         stats = cache.stats()
-        assert stats.size == 1
+        assert stats.memory_size == 1
         assert stats.evictions == 1
 
     def test_maxsize_zero_retains_nothing(self, small_placement):
